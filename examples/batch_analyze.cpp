@@ -128,6 +128,19 @@ bool parseFlagValue(const char *Flag, const char *Value, uint64_t Max,
   return true;
 }
 
+/// Strictly validated seconds value for a time budget flag; std::atof
+/// would read "five" as 0, which means "unlimited".
+bool parseSecondsFlag(const char *Flag, const char *Value, double &Out) {
+  std::optional<double> V = parseSeconds(Value);
+  if (!V) {
+    std::fprintf(stderr, "%s: '%s' is not a non-negative number of seconds\n",
+                 Flag, Value);
+    return false;
+  }
+  Out = *V;
+  return true;
+}
+
 struct Job {
   std::string Name; // report/bench label
   std::string Text; // grammar text
@@ -522,13 +535,13 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       Opts.JobsInner = unsigned(V);
     } else if (Arg == "-timeout") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsFlag("-timeout", argv[I],
+                                           Opts.ConflictTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.ConflictTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-cumulative") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsFlag("-cumulative", argv[I],
+                                           Opts.CumulativeTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.CumulativeTimeLimitSeconds = std::atof(argv[I]);
       CumulativeSet = true;
     } else if (Arg == "-steps") {
       uint64_t V;

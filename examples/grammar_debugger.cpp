@@ -9,9 +9,10 @@
 //   grammar_debugger [options] <grammar-file | corpus:NAME>
 //     -extendedsearch     full product-parser search (paper §6)
 //     -nonunifying        skip the unifying search entirely
-//     -timeout <seconds>  per-conflict unifying budget (default 5)
+//     -timeout <seconds>  per-conflict unifying budget (default 5;
+//                         0 = unlimited; must be a non-negative number)
 //     -cumulative <sec>   cumulative budget across all conflicts (default
-//                         120; 0 = unlimited)
+//                         120; 0 = unlimited; non-negative)
 //     -steps <n>          deterministic per-conflict configuration budget
 //     -memory-mb <n>      accounted memory budget per unifying search
 //     -jobs <n>           worker threads for conflict examination
@@ -21,8 +22,8 @@
 //                         across the conflict workers; 1 = serial search;
 //                         reports are byte-identical at any setting)
 //     -lss-stats          print per-conflict lookahead-sensitive search
-//                         stats (pool occupancy, union-cache hit rate,
-//                         dominance-check counts)
+//                         stats (keys expanded/enqueued, duplicate-key
+//                         drops, pool occupancy, union-cache hit rate)
 //     -metrics            print the pipeline metrics registry (per-phase
 //                         wall times, search-effort counters, guard trips)
 //                         after the run
@@ -89,6 +90,19 @@ static bool parseFlagValue(const char *Flag, const char *Value, uint64_t Max,
   return true;
 }
 
+/// Strictly validated seconds value for a time budget flag; std::atof
+/// would read "five" as 0, which means "unlimited".
+static bool parseSecondsFlag(const char *Flag, const char *Value, double &Out) {
+  std::optional<double> V = parseSeconds(Value);
+  if (!V) {
+    std::fprintf(stderr, "%s: '%s' is not a non-negative number of seconds\n",
+                 Flag, Value);
+    return false;
+  }
+  Out = *V;
+  return true;
+}
+
 int main(int argc, char **argv) {
   FinderOptions Opts;
   std::string Source;
@@ -103,13 +117,13 @@ int main(int argc, char **argv) {
     } else if (Arg == "-nonunifying") {
       Opts.UnifyingEnabled = false;
     } else if (Arg == "-timeout") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsFlag("-timeout", argv[I],
+                                           Opts.ConflictTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.ConflictTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-cumulative") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsFlag("-cumulative", argv[I],
+                                           Opts.CumulativeTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.CumulativeTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-steps") {
       uint64_t V;
       if (++I == argc || !parseFlagValue("-steps", argv[I], SIZE_MAX, V))
@@ -255,12 +269,11 @@ int main(int argc, char **argv) {
                            ? 100.0 * double(S.UnionCacheHits) /
                                  double(S.UnionCalls)
                            : 0.0;
-      std::printf("  [lss: %zu expanded, %zu enqueued, %zu pruned by "
-                  "dominance (%zu subset checks); pool %zu wide sets / "
-                  "%zu arena bytes; union cache %zu/%zu hits (%.1f%%)]\n",
-                  S.Expanded, S.Enqueued, S.DominancePruned, S.SubsetChecks,
-                  S.PoolWideSets, S.PoolArenaBytes, S.UnionCacheHits,
-                  S.UnionCalls, HitRate);
+      std::printf("  [lss: %zu expanded, %zu enqueued, %zu duplicate "
+                  "keys dropped; pool %zu wide sets / %zu arena bytes; "
+                  "union cache %zu/%zu hits (%.1f%%)]\n",
+                  S.Expanded, S.Enqueued, S.DominancePruned, S.PoolWideSets,
+                  S.PoolArenaBytes, S.UnionCacheHits, S.UnionCalls, HitRate);
     }
     std::printf("\n");
   }

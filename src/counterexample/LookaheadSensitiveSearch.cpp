@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace lalrcex;
 
@@ -26,22 +25,8 @@ std::vector<StateItemGraph::NodeId> LssPath::nodes() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Pooled search
+// Search over (state-item, conflict-terminal bit) keys
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A discovered vertex: a (node, pooled lookahead id) pair linked to its
-/// BFS parent. 16 bytes flat in the vertex arena, vs a node id plus a
-/// heap-allocated bitset copy in the reference implementation.
-struct PooledVertex {
-  StateItemGraph::NodeId Node;
-  TerminalSetPool::SetId L;
-  int32_t Parent;
-  LssStep::Kind EdgeKind;
-};
-
-} // namespace
 
 std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     const StateItemGraph &Graph, StateItemGraph::NodeId ConflictNode,
@@ -67,19 +52,18 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   if (StartNode == StateItemGraph::InvalidNode)
     throw SearchError("lss path: start item missing from start state");
 
-  // Thread-local overlay over the graph's frozen pool; the guard is
-  // charged for everything the search interns.
+  // Thread-local overlay over the graph's frozen pool for the lookahead
+  // sets of the returned path; the guard is charged for what it interns.
   TerminalSetPool Pool = TerminalSetPool::overlay(Graph.pool(), Guard);
 
   size_t Expanded = 0, Enqueued = 0, Pruned = 0;
   auto finish = [&] {
+    const TerminalSetPool::Stats &PS = Pool.stats();
     if (Metrics) {
-      const TerminalSetPool::Stats &PS = Pool.stats();
       Metrics->add(metric::LssSearches);
       Metrics->add(metric::LssExpanded, Expanded);
       Metrics->add(metric::LssEnqueued, Enqueued);
       Metrics->add(metric::LssDominancePruned, Pruned);
-      Metrics->add(metric::LssSubsetChecks, PS.SubsetChecks);
       Metrics->add(metric::LssUnionCalls, PS.UnionCalls);
       Metrics->add(metric::LssUnionCacheHits, PS.UnionCacheHits);
       Metrics->gaugeMax(metric::LssPoolArenaBytes, PS.ArenaBytes);
@@ -89,11 +73,11 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     Stats->Expanded = Expanded;
     Stats->Enqueued = Enqueued;
     Stats->DominancePruned = Pruned;
-    Stats->SubsetChecks = Pool.stats().SubsetChecks;
-    Stats->PoolWideSets = Pool.stats().WideSets;
-    Stats->PoolArenaBytes = Pool.stats().ArenaBytes;
-    Stats->UnionCalls = Pool.stats().UnionCalls;
-    Stats->UnionCacheHits = Pool.stats().UnionCacheHits;
+    Stats->SubsetChecks = 0;
+    Stats->PoolWideSets = PS.WideSets;
+    Stats->PoolArenaBytes = PS.ArenaBytes;
+    Stats->UnionCalls = PS.UnionCalls;
+    Stats->UnionCacheHits = PS.UnionCacheHits;
   };
 
   if (!Relevant[StartNode]) {
@@ -101,30 +85,16 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     return std::nullopt;
   }
 
-  std::vector<PooledVertex> Vertices;
-  // Per-node dominance frontier: the maximal lookahead ids admitted so
-  // far. A candidate covered by any admitted set is pruned; DESIGN.md §5e
-  // proves the surviving BFS still finds the reference path exactly.
-  //
-  // SoA layout: each node's admitted ids live contiguously in one shared
-  // slab, addressed by a 12-byte {Begin, Count, Cap} descriptor. Scanning
-  // a frontier is a dense streak of SetIds instead of a pointer chase
-  // through per-node heap vectors, and a node outgrowing its segment
-  // relocates to the slab's end with doubled capacity (the abandoned
-  // segment is bounded by geometric growth, like a vector's).
-  struct NodeFrontier {
-    uint32_t Begin = 0, Count = 0, Cap = 0;
+  // The goal only asks whether the conflict terminal t is in L, and
+  // followL acts on each element alone, so the search runs over keys
+  // (node, t ∈ L): key = 2 * node + bit. The first vertex to reach a key
+  // is the one the exact-L reference BFS keeps (DESIGN.md §5e).
+  constexpr int32_t Unseen = -2;
+  struct KeyInfo {
+    int32_t Parent = Unseen; ///< parent key, -1 for the start key
+    LssStep::Kind EdgeKind = LssStep::Start;
   };
-  std::vector<NodeFrontier> Frontier(Graph.numNodes());
-  std::vector<TerminalSetPool::SetId> Slab;
-  // Per-node union of all admitted elements, as raw words (maskWords()
-  // per node, so the padded-stride kernels apply; padding words stay
-  // zero). L ⊆ some Prev requires L ⊆ union, so a failed mask probe
-  // admits without scanning the frontier; for |L| <= 1 the mask answer
-  // is exact (an element in the union is in some one admitted set). Only
-  // genuinely ambiguous candidates pay the linear containsAll scan.
-  const unsigned MaskWords = Pool.maskWords();
-  std::vector<uint64_t> UnionMask(size_t(Graph.numNodes()) * MaskWords, 0);
+  std::vector<KeyInfo> Keys(size_t(Graph.numNodes()) * 2);
 
   // Unit edge costs make Dial's bucket queue two flat buckets: the depth
   // being drained and the depth being filled. Draining front-to-back
@@ -132,119 +102,91 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   std::vector<int32_t> Buckets[2];
   std::vector<int32_t> *CurB = &Buckets[0], *NextB = &Buckets[1];
 
-  auto enqueue = [&](StateItemGraph::NodeId Node, TerminalSetPool::SetId L,
-                     int32_t Parent, LssStep::Kind Kind) {
-    NodeFrontier &F = Frontier[Node];
-    uint64_t *Mask = &UnionMask[size_t(Node) * MaskWords];
-    if (F.Count != 0 && Pool.coveredByWords(L, Mask)) {
-      if (Pool.count(L) <= 1) {
-        // Exact via the mask: each element of L sits in some admitted
-        // set, and a set of at most one element needs only one of them.
-        ++Pruned;
-        return;
-      }
-      const TerminalSetPool::SetId *Seen = Slab.data() + F.Begin;
-      for (uint32_t I = 0; I != F.Count; ++I) {
-        if (Pool.containsAll(Seen[I], L)) {
-          ++Pruned;
-          return;
-        }
-      }
+  auto enqueue = [&](int32_t Key, int32_t Parent, LssStep::Kind Kind) {
+    if (Keys[Key].Parent != Unseen) {
+      ++Pruned;
+      return;
     }
-    // L is new and maximal; admitted sets it covers are now redundant
-    // (anything they would prune, L prunes too). The mask needs no
-    // repair: removed sets are subsets of L, which stays admitted.
-    {
-      TerminalSetPool::SetId *Seen = Slab.data() + F.Begin;
-      uint32_t Out = 0;
-      for (uint32_t I = 0; I != F.Count; ++I)
-        if (!Pool.containsAll(L, Seen[I]))
-          Seen[Out++] = Seen[I];
-      F.Count = Out;
-    }
-    if (F.Count == F.Cap) {
-      // Relocate this node's segment to the slab end with doubled
-      // capacity. Copy by index: resize may move the slab.
-      uint32_t NewCap = F.Cap ? F.Cap * 2 : 4;
-      uint32_t NewBegin = uint32_t(Slab.size());
-      Slab.resize(Slab.size() + NewCap);
-      std::copy(Slab.begin() + F.Begin, Slab.begin() + F.Begin + F.Count,
-                Slab.begin() + NewBegin);
-      F.Begin = NewBegin;
-      F.Cap = NewCap;
-    }
-    Slab[F.Begin + F.Count++] = L;
-    Pool.addToWords(L, Mask);
-    Vertices.push_back(PooledVertex{Node, L, Parent, Kind});
-    NextB->push_back(int32_t(Vertices.size()) - 1);
+    Keys[Key] = KeyInfo{Parent, Kind};
+    NextB->push_back(Key);
     ++Enqueued;
   };
 
-  enqueue(StartNode, Pool.singleton(G.eof().id()), -1, LssStep::Start);
+  enqueue(int32_t(StartNode) * 2 + (G.eof() == ConflictTerm), -1,
+          LssStep::Start);
   std::swap(CurB, NextB); // the start vertex is depth 0
 
-  int32_t Goal = -1;
-  while (!CurB->empty() && Goal < 0) {
-    for (size_t H = 0; H != CurB->size() && Goal < 0; ++H) {
+  const int32_t GoalKey = int32_t(ConflictNode) * 2 + 1;
+  bool Found = false;
+  while (!CurB->empty() && !Found) {
+    for (size_t H = 0; H != CurB->size(); ++H) {
       // The BFS is polynomial and fast, but a cancelled or exhausted
       // guard must still be able to stop it (the "never hang" contract).
       if (Guard && Guard->step() != GuardStop::None) {
         finish();
         return std::nullopt;
       }
-      int32_t VI = (*CurB)[H];
+      int32_t K = (*CurB)[H];
       ++Expanded;
-      StateItemGraph::NodeId N = Vertices[VI].Node;
-      TerminalSetPool::SetId L = Vertices[VI].L;
-
-      // Goal test.
-      if (N == ConflictNode && Pool.contains(L, ConflictTerm.id())) {
-        Goal = VI;
+      if (K == GoalKey) {
+        Found = true;
         break;
       }
+      StateItemGraph::NodeId N = StateItemGraph::NodeId(K >> 1);
+      bool Bit = K & 1;
 
-      // Transition edge: the precise lookahead set is preserved (and so
-      // is its id — no copy).
+      // Transition edge: the lookahead set, and so the bit, is preserved.
       StateItemGraph::NodeId Succ = Graph.forwardTransition(N);
       if (Succ != StateItemGraph::InvalidNode && Relevant[Succ])
-        enqueue(Succ, L, VI, LssStep::Transition);
+        enqueue(int32_t(Succ) * 2 + Bit, K, LssStep::Transition);
 
-      // Production-step edges: L becomes followL(item) (paper §4), one
-      // memoized table lookup plus at most one cached union.
+      // Production-step edges: t ∈ followL(item) iff t begins the suffix,
+      // or the suffix is nullable and t was already in L (paper §4).
       const Item &Itm = Graph.itemOf(N);
       Symbol Next = Itm.afterDot(G);
       if (Next.valid() && G.isNonterminal(Next)) {
-        // Pull the successors' mask rows toward the cache while the
-        // follow-set lookup (and possibly a cached union) is in flight;
-        // enqueue's first real work on each row is the coveredByWords
-        // probe against exactly these words.
+        bool StepBit =
+            Analysis.suffixCanBeginWith(Itm.Prod, Itm.Dot + 1, ConflictTerm) ||
+            (Bit && Analysis.suffixNullable(Itm.Prod, Itm.Dot + 1));
         for (StateItemGraph::NodeId Step : Graph.productionSteps(N))
           if (Relevant[Step])
-            __builtin_prefetch(&UnionMask[size_t(Step) * MaskWords]);
-        TerminalSetPool::SetId Follow =
-            Analysis.firstOfSequenceId(Itm.Prod, Itm.Dot + 1);
-        if (Analysis.suffixNullable(Itm.Prod, Itm.Dot + 1))
-          Follow = Pool.unionSets(Follow, L);
-        for (StateItemGraph::NodeId Step : Graph.productionSteps(N)) {
-          if (!Relevant[Step])
-            continue;
-          enqueue(Step, Follow, VI, LssStep::Production);
-        }
+            enqueue(int32_t(Step) * 2 + StepBit, K, LssStep::Production);
       }
     }
     CurB->clear();
     std::swap(CurB, NextB);
   }
 
-  finish();
-  if (Goal < 0)
+  if (!Found) {
+    finish();
     return std::nullopt;
+  }
+
+  // Walk the parent chain, then recompute each vertex's precise lookahead
+  // set forward from {$}: L is a function of the path.
+  std::vector<int32_t> Chain;
+  for (int32_t K = GoalKey; K >= 0; K = Keys[K].Parent)
+    Chain.push_back(K);
+  std::reverse(Chain.begin(), Chain.end());
 
   LssPath Path;
-  for (int32_t VI = Goal; VI >= 0; VI = Vertices[VI].Parent)
-    Path.Steps.push_back(LssStep{Vertices[VI].Node, Vertices[VI].EdgeKind,
-                                 Pool.materialize(Vertices[VI].L)});
-  std::reverse(Path.Steps.begin(), Path.Steps.end());
+  Path.Steps.reserve(Chain.size());
+  TerminalSetPool::SetId L = Pool.singleton(G.eof().id());
+  for (size_t I = 0; I != Chain.size(); ++I) {
+    StateItemGraph::NodeId N = StateItemGraph::NodeId(Chain[I] >> 1);
+    LssStep::Kind Kind = Keys[Chain[I]].EdgeKind;
+    if (Kind == LssStep::Production) {
+      const Item &Prev =
+          Graph.itemOf(StateItemGraph::NodeId(Chain[I - 1] >> 1));
+      TerminalSetPool::SetId Follow =
+          Analysis.firstOfSequenceId(Prev.Prod, Prev.Dot + 1);
+      L = Analysis.suffixNullable(Prev.Prod, Prev.Dot + 1)
+              ? Pool.unionSets(Follow, L)
+              : Follow;
+    }
+    Path.Steps.push_back(LssStep{N, Kind, Pool.materialize(L)});
+  }
+  finish();
   return Path;
 }
 

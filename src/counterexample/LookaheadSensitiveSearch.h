@@ -16,15 +16,18 @@
 /// visiting only state-items from which the conflict item is reachable
 /// (the §6 pruning).
 ///
-/// The production implementation runs on hash-consed TerminalSetPool ids:
-/// vertices carry a canonical SetId instead of a copied bitset, the FIFO
-/// is a two-bucket Dial queue over flat arrays, per-node visited sets are
-/// dominance frontiers (a vertex is pruned when an earlier vertex at the
-/// same node already covers its lookahead set — see DESIGN.md §5e for the
-/// proof this preserves the exact path the plain BFS finds), and followL
-/// is one cached union over the analysis's memoized suffix-FIRST tables.
-/// The pre-pool BFS is retained as shortestLookaheadSensitivePathReference
-/// for the equivalence tests and the pooled-vs-baseline benchmarks.
+/// The goal test only asks whether the conflict terminal t is in L, and
+/// followL acts on each element independently:
+///   t ∈ followL(L)  ⇔  t ∈ FIRST(suffix) ∨ (nullable(suffix) ∧ t ∈ L).
+/// So the production implementation searches over keys (state-item,
+/// t ∈ L) — at most two per node, visited once each, in a two-bucket Dial
+/// FIFO over flat arrays — and recomputes the precise lookahead sets
+/// along the found path only, with the analysis's memoized suffix-FIRST
+/// ids and cached TerminalSetPool unions. DESIGN.md §5e proves this
+/// returns exactly the path, lookahead sets included, of the plain BFS
+/// over (state-item, L) vertices, which is retained as
+/// shortestLookaheadSensitivePathReference for the equivalence tests and
+/// the benchmarks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,11 +71,11 @@ struct LssPath {
 /// MetricsRegistry (lss.* counters), which reports the same quantities;
 /// retained so -lss-stats and the PR 4 benchmarks keep their exact shape.
 struct LssStats {
-  size_t Expanded = 0;        ///< vertices popped from the queue
-  size_t Enqueued = 0;        ///< vertices admitted to the frontier
-  size_t DominancePruned = 0; ///< candidates covered by an earlier vertex
-  size_t SubsetChecks = 0;    ///< pooled containsAll dominance probes
-  size_t PoolWideSets = 0;    ///< wide sets interned by this search
+  size_t Expanded = 0;        ///< keys popped from the queue (<= 2 * nodes)
+  size_t Enqueued = 0;        ///< keys admitted to the queue
+  size_t DominancePruned = 0; ///< candidates whose key was already reached
+  size_t SubsetChecks = 0;    ///< always 0: the keyed search makes none
+  size_t PoolWideSets = 0;    ///< wide sets interned for the path's sets
   size_t PoolArenaBytes = 0;  ///< arena bytes owned by this search's pool
   size_t UnionCalls = 0;      ///< non-trivial pooled unions requested
   size_t UnionCacheHits = 0;  ///< of which answered from the union cache
@@ -85,7 +88,7 @@ struct LssStats {
 /// \p PruneToReaching restricts the search to state-items from which the
 /// conflict item is reachable (the paper's §6 optimization); disabling it
 /// exists for the ablation benchmark.
-/// \p Guard, when given, is charged one step per expanded vertex and for
+/// \p Guard, when given, is charged one step per expanded key and for
 /// the search pool's memory; if it trips (cancellation, cumulative
 /// budget), the search stops and returns nullopt — callers degrade to a
 /// bare item-pair report.

@@ -6,7 +6,10 @@
 
 #include "support/StrUtil.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace lalrcex;
 
@@ -53,6 +56,18 @@ std::optional<uint64_t> lalrcex::parseUnsigned(const std::string &S,
     Value = Value * 10 + Digit;
   }
   if (Value > Max)
+    return std::nullopt;
+  return Value;
+}
+
+std::optional<double> lalrcex::parseSeconds(const std::string &S) {
+  // strtod would skip leading whitespace and take a sign; refuse both so
+  // only a bare non-negative number gets through.
+  if (S.empty() || !(std::isdigit((unsigned char)S[0]) || S[0] == '.'))
+    return std::nullopt;
+  char *End = nullptr;
+  double Value = std::strtod(S.c_str(), &End);
+  if (End != S.c_str() + S.size() || !std::isfinite(Value))
     return std::nullopt;
   return Value;
 }

@@ -35,6 +35,13 @@ std::string padRight(const std::string &S, size_t Width);
 std::optional<uint64_t> parseUnsigned(const std::string &S,
                                       uint64_t Max = UINT64_MAX);
 
+/// Strictly parses \p S as a non-negative, finite number of seconds in
+/// std::strtod's unsigned syntax ("5", "0.25", "1e-3"). Returns nullopt
+/// for an empty string, a sign, whitespace, trailing characters, NaN or
+/// infinity (including overflow). Use this instead of std::atof for time
+/// budget flags: atof reads "five" as 0, which means "unlimited".
+std::optional<double> parseSeconds(const std::string &S);
+
 } // namespace lalrcex
 
 #endif // LALRCEX_SUPPORT_STRUTIL_H

@@ -2,12 +2,14 @@
 //
 // Part of lalrcex.
 //
-// The pooled lookahead-sensitive search (Dial queue, dominance frontiers,
-// hash-consed lookahead sets) must return the exact path — node for node,
-// edge kind for edge kind, lookahead set for lookahead set — that the
-// retained reference BFS returns. DESIGN.md §5e proves this; the suite
-// checks it over the worked corpus grammars and a random-grammar sweep,
-// with the §6 reachability pruning both on and off.
+// The production lookahead-sensitive search (a BFS over (state-item,
+// conflict-terminal bit) keys, lookahead sets recomputed along the found
+// path only) must return the exact path — node for node, edge kind for
+// edge kind, lookahead set for lookahead set — that the retained
+// reference BFS over (state-item, lookahead set) vertices returns.
+// DESIGN.md §5e proves this; the suite checks it over the worked corpus
+// grammars, the imported sql.y and ansi_c.y, conflicts on $, and a
+// random-grammar sweep, with the §6 reachability pruning on and off.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,9 @@
 #include "lr/ParseTable.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace lalrcex;
 using lalrcex::testing::randomGrammarText;
@@ -56,9 +61,12 @@ void expectEquivalentPaths(const Grammar &G, const Automaton &M,
         ASSERT_EQ(P.Lookaheads, R.Lookaheads)
             << Context << "\nstep " << I << " of " << C.describe(G);
       }
-      // The stats hook observed the search that just ran.
+      // The stats hook observed the search that just ran, and each
+      // (node, bit) key was expanded at most once.
       EXPECT_GT(Stats.Expanded, 0u) << Context;
       EXPECT_GE(Stats.Enqueued, Pooled->Steps.size()) << Context;
+      EXPECT_LE(Stats.Expanded, 2 * size_t(Graph.numNodes())) << Context;
+      EXPECT_EQ(Stats.SubsetChecks, 0u) << Context;
     }
   }
 }
@@ -80,6 +88,88 @@ TEST_P(LssCorpusEquivalenceTest, PooledMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Corpus, LssCorpusEquivalenceTest,
                          ::testing::Values("figure1", "figure3", "SQL.2",
                                            "Pascal.1", "C.1", "Java.1"));
+
+/// The imported full-size grammars: sql.y's LSS graph is the largest the
+/// project ships. The reference BFS takes about 5 s on sql.y with the
+/// pruning on and 4.5 s more with it off (RelWithDebInfo, one core), so
+/// both prunings are checked.
+class LssImportedEquivalenceTest
+    : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(LssImportedEquivalenceTest, PooledMatchesReference) {
+  std::string Path = std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/" + GetParam();
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << Path;
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  GrammarParseResult R = parseGrammar(Text.str());
+  ASSERT_TRUE(R.ok()) << R.renderDiagnostics(Text.str());
+  GrammarAnalysis A(*R.G);
+  Automaton M(*R.G, A);
+  ParseTable T(M);
+  ASSERT_FALSE(T.reportedConflicts().empty()) << Path;
+  expectEquivalentPaths(*R.G, M, T, Path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Imported, LssImportedEquivalenceTest,
+                         ::testing::Values("sql.y", "ansi_c.y"));
+
+/// Conflicts whose terminal is $: the search starts at key bit 1, and
+/// the second grammar needs that bit carried through nullable suffixes.
+TEST(LssEofConflictTest, PooledMatchesReference) {
+  for (const char *Text : {
+           "%%\n"
+           "S : A | B ;\n"
+           "A : a ;\n"
+           "B : a ;\n",
+           "%%\n"
+           "S : a X ;\n"
+           "X : Y Z | W ;\n"
+           "Y : ;\n"
+           "Z : ;\n"
+           "W : ;\n",
+       }) {
+    std::optional<Grammar> G = parseGrammarText(Text);
+    ASSERT_TRUE(G) << Text;
+    GrammarAnalysis A(*G);
+    Automaton M(*G, A);
+    ParseTable T(M);
+    bool SawEof = false;
+    for (const Conflict &C : T.reportedConflicts())
+      SawEof |= C.Token == G->eof();
+    ASSERT_TRUE(SawEof) << Text;
+    expectEquivalentPaths(*G, M, T, Text);
+  }
+}
+
+/// The keyed search visits each (node, bit) key at most once, so its work
+/// is O(nodes) on every conflict of every corpus grammar.
+TEST(LssBoundTest, ExpandedAtMostTwiceTheNodesOnEveryCorpusConflict) {
+  size_t Conflicts = 0;
+  for (const CorpusEntry &E : corpus()) {
+    std::optional<Grammar> G = parseGrammarText(E.Text);
+    ASSERT_TRUE(G) << E.Name;
+    GrammarAnalysis A(*G);
+    if (!A.isProductive(G->startSymbol()))
+      continue;
+    Automaton M(*G, A);
+    ParseTable T(M);
+    StateItemGraph Graph(M);
+    for (const Conflict &C : T.reportedConflicts()) {
+      StateItemGraph::NodeId Node =
+          Graph.nodeFor(C.State, C.reduceItem(*G));
+      LssStats Stats;
+      std::optional<LssPath> Path = shortestLookaheadSensitivePath(
+          Graph, Node, C.Token, /*PruneToReaching=*/true, nullptr, &Stats);
+      ASSERT_TRUE(Path) << E.Name << ": " << C.describe(*G);
+      ASSERT_LE(Stats.Expanded, 2 * size_t(Graph.numNodes()))
+          << E.Name << ": " << C.describe(*G);
+      ASSERT_LE(Stats.Enqueued, 2 * size_t(Graph.numNodes())) << E.Name;
+      ++Conflicts;
+    }
+  }
+  EXPECT_GT(Conflicts, 100u);
+}
 
 class LssRandomEquivalenceTest : public ::testing::TestWithParam<int> {};
 

@@ -181,8 +181,6 @@ TEST(TerminalSetPoolTest, CachedOpsMatchNaiveIndexSet) {
     ASSERT_EQ(P.materialize(WId), ExpectW);
 
     ASSERT_EQ(P.contains(Ids[A], E), Naive[A].contains(E));
-    ASSERT_EQ(P.containsAll(Ids[A], Ids[B]),
-              Naive[B].isSubsetOf(Naive[A]));
 
     // forEach visits in increasing order, matching IndexSet.
     std::vector<unsigned> Got;
@@ -230,7 +228,6 @@ TEST(TerminalSetPoolTest, UniverseEdgeCases) {
   EXPECT_EQ(P0.count(P0.emptySet()), 0u);
   EXPECT_EQ(P0.intern(IndexSet(0)), P0.emptySet());
   EXPECT_EQ(P0.unionSets(P0.emptySet(), P0.emptySet()), P0.emptySet());
-  EXPECT_TRUE(P0.containsAll(P0.emptySet(), P0.emptySet()));
   EXPECT_TRUE(P0.materialize(P0.emptySet()).empty());
 
   // Exact word-multiple universes: boundary elements 0/63/64/127.
@@ -258,8 +255,6 @@ TEST(TerminalSetPoolTest, UniverseEdgeCases) {
   TerminalSetPool::SetId B = PW.withElement(A, 0);
   EXPECT_EQ(PW.count(B), 2u);
   EXPECT_TRUE(PW.contains(B, 39999));
-  EXPECT_TRUE(PW.containsAll(B, A));
-  EXPECT_FALSE(PW.containsAll(A, B));
   EXPECT_EQ(PW.unionSets(A, PW.emptySet()), A);
   EXPECT_EQ(PW.unionSets(B, A), B); // absorption
 }
@@ -292,8 +287,6 @@ TEST(TerminalSetPoolTest, OverlayReusesBaseAndIsolatesSiblings) {
   IndexSet Expect = W;
   Expect.unionWith(X);
   EXPECT_EQ(O1.materialize(UId), Expect);
-  EXPECT_TRUE(O1.containsAll(UId, BaseId));
-  EXPECT_TRUE(O1.containsAll(UId, XId));
 
   // Sibling overlays are independent but number deterministically: the
   // same first local set gets the same id value in both.
@@ -391,9 +384,9 @@ TEST(WorkStealingDequeTest, ConcurrentClaimsAreExactlyOnce) {
 }
 
 TEST(SetKernelTest, Avx2MatchesScalarOnRandomizedSets) {
-  // The runtime-dispatched AVX2 kernels must agree with the portable
-  // scalar kernels on every input; on machines without AVX2 the wrappers
-  // fall back to scalar and the test degenerates to self-consistency.
+  // The runtime-dispatched AVX2 union kernel must agree with the portable
+  // scalar kernel on every input; on machines without AVX2 the wrapper
+  // falls back to scalar and the test degenerates to self-consistency.
   // Word counts sweep the vector-width boundaries (1..9 covers partial
   // and full 4-word blocks plus the 8-word double block).
   lalrcex::testing::Rng R(7);
@@ -405,23 +398,13 @@ TEST(SetKernelTest, Avx2MatchesScalarOnRandomizedSets) {
   };
   for (unsigned Words = 1; Words <= 9; ++Words) {
     for (int Round = 0; Round != 200; ++Round) {
-      std::vector<uint64_t> Super(Words), Sub(Words);
+      std::vector<uint64_t> Src(Words), DstSimd(Words), DstScalar(Words);
       for (unsigned I = 0; I != Words; ++I) {
-        Super[I] = randWord();
-        // Mostly-true subsets with occasional violations, so both
-        // branches of the early-exit are exercised.
-        Sub[I] = R.next(4) ? (Super[I] & randWord()) : randWord();
-      }
-      EXPECT_EQ(
-          setkernel::subsetAvx2(Sub.data(), Super.data(), Words),
-          setkernel::subsetScalar(Sub.data(), Super.data(), Words))
-          << "words=" << Words;
-
-      std::vector<uint64_t> DstSimd(Words), DstScalar(Words);
-      for (unsigned I = 0; I != Words; ++I)
+        Src[I] = randWord();
         DstSimd[I] = DstScalar[I] = randWord();
-      setkernel::orIntoAvx2(DstSimd.data(), Sub.data(), Words);
-      setkernel::orIntoScalar(DstScalar.data(), Sub.data(), Words);
+      }
+      setkernel::orIntoAvx2(DstSimd.data(), Src.data(), Words);
+      setkernel::orIntoScalar(DstScalar.data(), Src.data(), Words);
       EXPECT_EQ(DstSimd, DstScalar) << "words=" << Words;
     }
   }
@@ -462,6 +445,35 @@ TEST(StrUtilTest, ParseUnsigned) {
   // The Max cap rejects values the caller's field cannot hold.
   EXPECT_EQ(parseUnsigned("100", 100), std::optional<uint64_t>(100));
   EXPECT_FALSE(parseUnsigned("101", 100));
+}
+
+TEST(StrUtilTest, ParseSeconds) {
+  // The strict time-budget parser: std::atof reads "five" as 0, which
+  // the finder takes as "unlimited".
+  EXPECT_EQ(parseSeconds("0"), std::optional<double>(0.0));
+  EXPECT_EQ(parseSeconds("5"), std::optional<double>(5.0));
+  EXPECT_EQ(parseSeconds("0.25"), std::optional<double>(0.25));
+  EXPECT_EQ(parseSeconds(".5"), std::optional<double>(0.5));
+  EXPECT_EQ(parseSeconds("5."), std::optional<double>(5.0));
+  EXPECT_EQ(parseSeconds("1e-3"), std::optional<double>(1e-3));
+  EXPECT_EQ(parseSeconds("120"), std::optional<double>(120.0));
+
+  EXPECT_FALSE(parseSeconds(""));
+  EXPECT_FALSE(parseSeconds("five"));
+  EXPECT_FALSE(parseSeconds("."));
+  EXPECT_FALSE(parseSeconds("5s"));
+  EXPECT_FALSE(parseSeconds("5 "));
+  EXPECT_FALSE(parseSeconds(" 5"));
+  EXPECT_FALSE(parseSeconds("1e"));
+  EXPECT_FALSE(parseSeconds("-1"));
+  EXPECT_FALSE(parseSeconds("-0"));
+  EXPECT_FALSE(parseSeconds("+5"));
+  EXPECT_FALSE(parseSeconds("nan"));
+  EXPECT_FALSE(parseSeconds("NaN"));
+  EXPECT_FALSE(parseSeconds("inf"));
+  EXPECT_FALSE(parseSeconds("infinity"));
+  EXPECT_FALSE(parseSeconds("1e999")); // overflows to infinity
+  EXPECT_FALSE(parseSeconds(std::string("5\0", 2)));
 }
 
 } // namespace
